@@ -73,7 +73,6 @@ import (
 
 func main() {
 	solver := flag.String("solver", "pd-par", "registered solver name (see -list)")
-	algo := flag.String("algo", "", "deprecated alias for -solver")
 	eps := flag.Float64("eps", 0.3, "slack parameter ε")
 	seed := flag.Int64("seed", 0, "random seed (batch: master seed for splitmix64 derivation)")
 	workers := flag.Int("workers", 0, "goroutine fan-out per solve (0 = GOMAXPROCS; batch: 1)")
@@ -95,16 +94,6 @@ func main() {
 		return
 	}
 	name := *solver
-	if *algo != "" {
-		name = *algo
-	}
-	// Legacy -algo spellings that predate the registry.
-	if legacy, ok := map[string]string{
-		"kopt-median": "k-median-opt",
-		"kopt-center": "k-center-opt",
-	}[name]; ok {
-		name = legacy
-	}
 
 	o := facloc.Options{Epsilon: *eps, Seed: *seed, Workers: *workers, TrackCost: *track, DenseLimit: *denseLimit}
 

@@ -175,26 +175,24 @@ func TestConformanceKClustering(t *testing.T) {
 	}
 }
 
-// TestConformanceCoresetQuality exercises the sketch path where the coreset
-// is a genuine reduction (Size ≪ n, past the identity shortcut the small
-// conformance grids hit): for every *-coreset composition, solve-on-coreset
-// must stay within the composed guarantee of the direct solve, and the
-// sketched solution must be bitwise identical across worker counts.
+// TestConformanceCoresetQuality exercises the single-coreset path — the
+// one-leaf coreset tree the *-coreset entries run — where the coreset is a
+// genuine reduction (128 members ≪ n, past the identity shortcut the small
+// conformance grids hit): for every composition, solve-on-coreset must stay
+// within the composed guarantee of the direct solve, and the solution must
+// be bitwise identical across worker counts.
 func TestConformanceCoresetQuality(t *testing.T) {
 	ctx := context.Background()
-	co := CoresetOptions{Size: 128, Seed: 11}
+	mo := MPCOptions{CoresetSize: 128}
 
-	type kcase struct {
-		inner string
-	}
-	for _, tc := range []kcase{{"kmedian"}, {"kmeans"}, {"kcenter"}} {
-		inner, ok := LookupK(tc.inner)
+	for _, name := range []string{"kmedian", "kmeans", "kcenter"} {
+		inner, ok := LookupK(name)
 		if !ok {
-			t.Fatalf("inner solver %q missing", tc.inner)
+			t.Fatalf("inner solver %q missing", name)
 		}
-		sketched := Sketched(inner, co)
+		s := MPC(inner, mo)
 		ki := GenerateHugeK(21, 600, 4)
-		t.Run(sketched.Name(), func(t *testing.T) {
+		t.Run(name+"-coreset", func(t *testing.T) {
 			o1 := Options{Epsilon: confEps, Seed: 7, Workers: 1}
 			op := o1
 			op.Workers = confWorkers()
@@ -203,60 +201,62 @@ func TestConformanceCoresetQuality(t *testing.T) {
 			if err != nil {
 				t.Fatalf("direct solve: %v", err)
 			}
-			rep1, err := SolveKWith(ctx, sketched, ki, o1)
+			rep1, err := SolveKWith(ctx, s, ki, o1)
 			if err != nil {
-				t.Fatalf("sketched solve: %v", err)
+				t.Fatalf("coreset solve: %v", err)
 			}
-			repP, err := SolveKWith(ctx, sketched, ki, op)
+			repP, err := SolveKWith(ctx, s, ki, op)
 			if err != nil {
-				t.Fatalf("sketched solve Workers=%d: %v", op.Workers, err)
+				t.Fatalf("coreset solve Workers=%d: %v", op.Workers, err)
 			}
 
 			if err := rep1.Solution.CheckFeasible(ki, 1e-6); err != nil {
-				t.Fatalf("sketched solution infeasible: %v", err)
+				t.Fatalf("coreset solution infeasible: %v", err)
 			}
-			bound := sketched.Guarantee().Bound(confEps)
+			bound := s.Guarantee().Bound(confEps)
 			if got, lim := rep1.Solution.Value, bound*direct.Solution.Value; got > lim+1e-9 {
-				t.Fatalf("sketched value %.4f exceeds composed bound %.4f (direct %.4f, %s)",
-					got, lim, direct.Solution.Value, sketched.Guarantee())
+				t.Fatalf("coreset value %.4f exceeds composed bound %.4f (direct %.4f, %s)",
+					got, lim, direct.Solution.Value, s.Guarantee())
 			}
 			if !reflect.DeepEqual(rep1.Solution, repP.Solution) {
-				t.Fatalf("sketched solutions differ between Workers=1 and Workers=%d", op.Workers)
+				t.Fatalf("coreset solutions differ between Workers=1 and Workers=%d", op.Workers)
 			}
 		})
 	}
 
-	// UFL composition: greedy on a pruned weighted sub-instance.
+	// UFL composition: greedy on the pruned facilities × coreset clients.
 	inner, _ := Lookup("greedy-par")
-	sketched := SketchedUFL(inner, co)
+	s := MPCUFL(inner, mo)
 	in := GenerateHugeUFL(23, 25, 600)
-	o1 := Options{Epsilon: confEps, Seed: 7, Workers: 1}
-	op := o1
-	op.Workers = confWorkers()
+	t.Run("greedy-coreset", func(t *testing.T) {
+		o1 := Options{Epsilon: confEps, Seed: 7, Workers: 1}
+		op := o1
+		op.Workers = confWorkers()
 
-	direct, err := SolveWith(ctx, inner, in, o1)
-	if err != nil {
-		t.Fatalf("direct greedy: %v", err)
-	}
-	rep1, err := SolveWith(ctx, sketched, in, o1)
-	if err != nil {
-		t.Fatalf("sketched greedy: %v", err)
-	}
-	repP, err := SolveWith(ctx, sketched, in, op)
-	if err != nil {
-		t.Fatalf("sketched greedy Workers=%d: %v", op.Workers, err)
-	}
-	if err := rep1.Solution.CheckFeasible(in, 1e-6); err != nil {
-		t.Fatalf("sketched UFL solution infeasible: %v", err)
-	}
-	bound := sketched.Guarantee().Bound(confEps)
-	if got, lim := rep1.Solution.Cost(), bound*direct.Solution.Cost(); got > lim+1e-9 {
-		t.Fatalf("sketched cost %.4f exceeds composed bound %.4f (direct %.4f)",
-			got, lim, direct.Solution.Cost())
-	}
-	if !reflect.DeepEqual(rep1.Solution, repP.Solution) {
-		t.Fatalf("sketched UFL solutions differ between worker counts")
-	}
+		direct, err := SolveWith(ctx, inner, in, o1)
+		if err != nil {
+			t.Fatalf("direct greedy: %v", err)
+		}
+		rep1, err := SolveWith(ctx, s, in, o1)
+		if err != nil {
+			t.Fatalf("coreset greedy: %v", err)
+		}
+		repP, err := SolveWith(ctx, s, in, op)
+		if err != nil {
+			t.Fatalf("coreset greedy Workers=%d: %v", op.Workers, err)
+		}
+		if err := rep1.Solution.CheckFeasible(in, 1e-6); err != nil {
+			t.Fatalf("coreset UFL solution infeasible: %v", err)
+		}
+		bound := s.Guarantee().Bound(confEps)
+		if got, lim := rep1.Solution.Cost(), bound*direct.Solution.Cost(); got > lim+1e-9 {
+			t.Fatalf("coreset cost %.4f exceeds composed bound %.4f (direct %.4f)",
+				got, lim, direct.Solution.Cost())
+		}
+		if !reflect.DeepEqual(rep1.Solution, repP.Solution) {
+			t.Fatalf("coreset UFL solutions differ between worker counts")
+		}
+	})
 }
 
 // TestConformanceIncrementalEnginesMatchDense pins the round-incremental

@@ -15,11 +15,12 @@
 //     guarantees (§7), including a 2-swap extension.
 //   - Exact brute-force solvers and an exact LP solver for measuring true
 //     approximation ratios.
-//   - A coreset/sketching layer (Sketched, SketchedUFL, the *-coreset
-//     registry entries) that reduces million-point point-backed instances to
-//     small weighted ones without materializing a distance matrix; client
-//     weights thread through every solver family, so solve-on-coreset is
-//     exact with respect to the weighted objective.
+//   - A coreset layer (MPC, MPCUFL, the *-coreset and *-mpc registry
+//     entries) that reduces million-point point-backed instances to small
+//     weighted ones without materializing a distance matrix: a composable
+//     coreset tree whose one-leaf case is a single coreset. Client weights
+//     thread through every solver family, so solve-on-coreset is exact with
+//     respect to the weighted objective.
 //   - A serving layer (internal/serve behind cmd/faclocd): a content-
 //     addressed instance store (InstanceHash), a solution cache whose hits
 //     return byte-identical reports without re-solving, an admission-

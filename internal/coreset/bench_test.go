@@ -52,24 +52,20 @@ func BenchmarkBuildKCenterCover100k(b *testing.B) {
 	}
 }
 
-func BenchmarkUFLPrune50k(b *testing.B) {
-	n := 50_000
-	sp := clusteredSpace(2, n, 8)
-	nf := 200
-	fac := make([]int, nf)
-	cli := make([]int, n-nf)
-	costs := make([]float64, nf)
+func BenchmarkPruneFacilities50k(b *testing.B) {
+	sp := clusteredSpace(2, 50_000, 8)
+	fac := make([]int, 200)
+	costs := make([]float64, len(fac))
 	for i := range fac {
 		fac[i], costs[i] = i, 5
 	}
+	cli := make([]int, 1024)
 	for j := range cli {
-		cli[j] = nf + j
+		cli[j] = len(fac) + 48*j
 	}
-	in := core.FromSpaceLazy(sp, fac, cli, costs)
-	o := Options{Size: 256, Seed: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := UFLPrune(context.Background(), nil, in, o); err != nil {
+		if _, err := PruneFacilities(context.Background(), nil, sp, fac, costs, cli); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,19 +17,13 @@ type Options struct {
 	// Size is the target coreset size (number of weighted representatives).
 	// 0 derives max(20·k, 1024) capped at n; values are clamped to [k, n].
 	Size int
-	// Epsilon is the distortion budget the build aims for; it is recorded in
-	// the composed guarantee of sketched solvers (solver factor × (1+ε)).
+	// Epsilon is the distortion budget the build aims for; the composed
+	// guarantee of a coreset solve multiplies (1+ε) per sampling level.
 	Epsilon float64
 	// Seed drives every sampling decision through counter-based splitmix64
 	// streams: builds are bitwise deterministic per seed and independent of
 	// the worker count.
 	Seed int64
-	// SeedCenters is the number of D^x-sampled seeding centers the
-	// sensitivity estimates are computed against; 0 derives max(2·k, 8).
-	SeedCenters int
-	// FacPerClient is the number of nearest facility candidates kept per
-	// client representative in UFL pruning; 0 derives 8.
-	FacPerClient int
 }
 
 func (o Options) size(n, k int) int {
@@ -54,39 +48,17 @@ func (o Options) size(n, k int) int {
 	return s
 }
 
-func (o Options) seedCenters(n, k int) int {
-	t := o.SeedCenters
-	if t <= 0 {
-		t = 2 * k
-		if t < 8 {
-			t = 8
-		}
+// seedCenters is the number of D^x-sampled seeding centers the sensitivity
+// estimates are computed against: max(2·k, 8), capped at n.
+func seedCenters(n, k int) int {
+	t := 2 * k
+	if t < 8 {
+		t = 8
 	}
 	if t > n {
 		t = n
 	}
 	return t
-}
-
-// Distortion returns the effective (1+ε) distortion target: Epsilon, or the
-// 0.3 default. Guarantee composition (facloc.Sketched) reads this so the
-// advertised factor and the build target cannot diverge.
-func (o Options) Distortion() float64 {
-	if o.Epsilon <= 0 {
-		return 0.3
-	}
-	return o.Epsilon
-}
-
-func (o Options) facPerClient(nf int) int {
-	l := o.FacPerClient
-	if l <= 0 {
-		l = 8
-	}
-	if l > nf {
-		l = nf
-	}
-	return l
 }
 
 // Coreset is a weighted subset of a point space: solving the (small) dense
@@ -96,7 +68,7 @@ type Coreset struct {
 	Points []int     // ascending point indices into the source space
 	Weight []float64 // positive weights; Σ ≈ total source weight
 	// Radius is the covering radius of Points for cover-based builds
-	// (k-center, UFL): every source point is within Radius of some member.
+	// (k-center): every source point is within Radius of some member.
 	// Zero for sampling-based builds and identity coresets.
 	Radius float64
 	// SeedingCost is Σ w_j·d^x(j, seeds) of the seeding phase — the
@@ -109,22 +81,6 @@ type Coreset struct {
 
 // Len returns the coreset size.
 func (cs *Coreset) Len() int { return len(cs.Points) }
-
-// KInstance materializes the dense weighted k-clustering sub-instance over
-// the coreset points: a |coreset|² matrix — the only quadratic object the
-// sketch path ever allocates. K is clamped to the coreset size.
-func (cs *Coreset) KInstance(c *par.Ctx, sp metric.Space, k int) *core.KInstance {
-	s := len(cs.Points)
-	if k > s {
-		k = s
-	}
-	return &core.KInstance{
-		N:      s,
-		K:      k,
-		Dist:   metric.SubmatrixRows(c, sp, cs.Points, cs.Points),
-		Weight: cs.Weight,
-	}
-}
 
 // baseWeight reads the source weight of point j (1 when w is nil).
 func baseWeight(w []float64, j int) float64 {
@@ -150,13 +106,13 @@ func Build(ctx context.Context, c *par.Ctx, sp metric.Space, k int, obj core.KOb
 	}
 	seed := uint64(o.Seed)
 	if obj == core.KCenter {
-		return buildCover(ctx, c, sp, nil, size, baseW, seed)
+		return buildCover(ctx, c, sp, size, baseW, seed)
 	}
 	pow := 1
 	if obj == core.KMeans {
 		pow = 2
 	}
-	return buildSampling(ctx, c, sp, pow, size, o.seedCenters(n, k), baseW, seed)
+	return buildSampling(ctx, c, sp, pow, size, seedCenters(n, k), baseW, seed)
 }
 
 // identity returns the trivial whole-set coreset.
@@ -167,21 +123,15 @@ func identity(c *par.Ctx, n int, baseW []float64) *Coreset {
 	return &Coreset{Points: pts, Weight: w, Identity: true}
 }
 
-// ---------- farthest-point cover (k-center, UFL clients) ----------
+// ---------- farthest-point cover (k-center) ----------
 
-// cover runs Gonzalez farthest-first traversal for m steps over the points
-// listed in idx (nil = all of sp), returning the chosen positions, each
-// point's nearest chosen position, and the final distance vector. Every
-// selection is an exact max-reduction with index tie-breaking, so the
-// traversal is deterministic and independent of worker count. O(m·|idx|)
-// distance evaluations, O(|idx|) memory.
-func cover(ctx context.Context, c *par.Ctx, sp metric.Space, idx []int, m int, seed uint64) (sel []int, assign []int32, dmin []float64, err error) {
+// cover runs Gonzalez farthest-first traversal for m steps over sp,
+// returning the chosen points, each point's nearest chosen position, and the
+// final distance vector. Every selection is an exact max-reduction with index
+// tie-breaking, so the traversal is deterministic and independent of worker
+// count. O(m·n) distance evaluations, O(n) memory.
+func cover(ctx context.Context, c *par.Ctx, sp metric.Space, m int, seed uint64) (sel []int, assign []int32, dmin []float64, err error) {
 	n := sp.N()
-	at := func(p int) int { return p }
-	if idx != nil {
-		n = len(idx)
-		at = func(p int) int { return idx[p] }
-	}
 	dmin = make([]float64, n)
 	assign = make([]int32, n)
 	for j := range dmin {
@@ -197,10 +147,9 @@ func cover(ctx context.Context, c *par.Ctx, sp metric.Space, idx []int, m int, s
 		}
 		sel = append(sel, cur)
 		pos := int32(len(sel) - 1)
-		pt := at(cur)
 		c.ForBlock(n, func(lo, hi int) {
 			for j := lo; j < hi; j++ {
-				if d := sp.Dist(pt, at(j)); d < dmin[j] {
+				if d := sp.Dist(cur, j); d < dmin[j] {
 					dmin[j] = d
 					assign[j] = pos
 				}
@@ -226,12 +175,12 @@ func cover(ctx context.Context, c *par.Ctx, sp metric.Space, idx []int, m int, s
 // buildCover assembles a cover-based coreset: representatives from the
 // farthest-point traversal, weighted by the source weight of the points they
 // absorb.
-func buildCover(ctx context.Context, c *par.Ctx, sp metric.Space, idx []int, m int, baseW []float64, seed uint64) (*Coreset, error) {
+func buildCover(ctx context.Context, c *par.Ctx, sp metric.Space, m int, baseW []float64, seed uint64) (*Coreset, error) {
 	var prevCost par.Cost
 	if c.Tracing() {
 		prevCost = c.Tally.Snapshot()
 	}
-	sel, assign, dmin, err := cover(ctx, c, sp, idx, m, seed)
+	sel, assign, dmin, err := cover(ctx, c, sp, m, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -243,16 +192,11 @@ func buildCover(ctx context.Context, c *par.Ctx, sp metric.Space, idx []int, m i
 			Live: int64(len(assign)), Opened: len(sel),
 		})
 	}
-	n := len(assign)
-	at := func(p int) int { return p }
-	if idx != nil {
-		at = func(p int) int { return idx[p] }
-	}
 	// Cluster weights: one sequential O(n) pass keeps the float accumulation
 	// order fixed (a racy parallel accumulate would not be deterministic).
 	w := make([]float64, len(sel))
-	for j := 0; j < n; j++ {
-		w[assign[j]] += baseWeight(baseW, at(j))
+	for j, a := range assign {
+		w[a] += baseWeight(baseW, j)
 	}
 	radius := par.MaxFloat(c, dmin)
 	// Emit sorted by point index (selection order is a traversal artifact).
@@ -260,14 +204,14 @@ func buildCover(ctx context.Context, c *par.Ctx, sp metric.Space, idx []int, m i
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return at(sel[order[a]]) < at(sel[order[b]]) })
+	sort.Slice(order, func(a, b int) bool { return sel[order[a]] < sel[order[b]] })
 	cs := &Coreset{
 		Points: make([]int, len(sel)),
 		Weight: make([]float64, len(sel)),
 		Radius: radius,
 	}
 	for r, o := range order {
-		cs.Points[r] = at(sel[o])
+		cs.Points[r] = sel[o]
 		cs.Weight[r] = w[o]
 	}
 	return cs, nil

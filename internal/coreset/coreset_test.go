@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -152,21 +153,6 @@ func TestSamplingWeightsSane(t *testing.T) {
 	}
 }
 
-func TestKInstanceFromCoreset(t *testing.T) {
-	sp := clusteredSpace(11, 2000, 3)
-	cs, err := Build(context.Background(), nil, sp, 3, core.KMedian, nil, Options{Size: 128, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ki := cs.KInstance(nil, sp, 3)
-	if err := ki.Validate(); err != nil {
-		t.Fatalf("sub-instance invalid: %v", err)
-	}
-	if ki.N != cs.Len() || !ki.Weighted() {
-		t.Fatalf("sub-instance shape mismatch: n=%d weighted=%v", ki.N, ki.Weighted())
-	}
-}
-
 func TestBuildRespectsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -174,59 +160,64 @@ func TestBuildRespectsCancellation(t *testing.T) {
 	if _, err := Build(ctx, nil, sp, 5, core.KMedian, nil, Options{Size: 64}); err == nil {
 		t.Fatal("cancelled build should fail")
 	}
-	in := core.FromSpaceLazy(sp, []int{0, 1, 2}, []int{3, 4, 5, 6}, []float64{1, 1, 1})
-	if _, err := UFLPrune(ctx, nil, in, Options{Size: 2}); err == nil {
-		t.Fatal("cancelled UFLPrune should fail")
+	if _, err := PruneFacilities(ctx, nil, sp, []int{0, 1, 2}, []float64{1, 1, 1}, []int{3, 4, 5, 6}); err == nil {
+		t.Fatal("cancelled PruneFacilities should fail")
 	}
 }
 
-func TestUFLPruneStructureAndLift(t *testing.T) {
-	n := 2000
-	sp := clusteredSpace(13, n, 4)
-	nf := 40
+func TestPruneFacilitiesKeepsNearestAndCheapest(t *testing.T) {
+	sp := clusteredSpace(13, 2000, 4)
+	nf := 100
 	fac := make([]int, nf)
-	cli := make([]int, n-nf)
 	costs := make([]float64, nf)
 	for i := range fac {
-		fac[i] = i
-		costs[i] = 5
+		fac[i] = 3 * i // facilities interleaved with clients in the space
+		costs[i] = 5 + float64(i%7)
 	}
-	for j := range cli {
-		cli[j] = nf + j
+	costs[17] = 1 // the cheapest-to-open anchor
+	var cli []int
+	for j := 1; len(cli) < 10; j += 7 {
+		cli = append(cli, j)
 	}
-	in := core.FromSpaceLazy(sp, fac, cli, costs)
-	if err := in.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	p, err := UFLPrune(context.Background(), nil, in, Options{Size: 100, Seed: 2, FacPerClient: 4})
+	keep, err := PruneFacilities(context.Background(), nil, sp, fac, costs, cli)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Sub.Validate(); err != nil {
-		t.Fatalf("sub-instance invalid: %v", err)
+	kept := make(map[int]bool, len(keep))
+	for a, i := range keep {
+		if i < 0 || i >= nf || (a > 0 && keep[a-1] >= i) {
+			t.Fatalf("kept positions %v not ascending in [0,%d)", keep, nf)
+		}
+		kept[i] = true
 	}
-	if p.Sub.NC != 100 || p.Sub.NF > nf || p.Sub.NF < 1 {
-		t.Fatalf("sub shape %dx%d unexpected", p.Sub.NF, p.Sub.NC)
+	if !kept[17] {
+		t.Fatal("cheapest facility pruned")
 	}
-	sum := 0.0
-	for _, w := range p.Sub.CWeight {
-		sum += w
+	if len(keep) > len(cli)*facPerClient+1 {
+		t.Fatalf("kept %d facilities, more than %d nearest per client plus one", len(keep), facPerClient)
 	}
-	if math.Abs(sum-float64(n-nf)) > 1e-6 {
-		t.Fatalf("client mass %v, want %d", sum, n-nf)
+	// Brute force: each client's facPerClient nearest facilities survive.
+	for _, j := range cli {
+		order := make([]int, nf)
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(a, b int) bool { return sp.Dist(fac[order[a]], j) < sp.Dist(fac[order[b]], j) })
+		for _, i := range order[:facPerClient] {
+			if !kept[i] {
+				t.Fatalf("client %d: nearest facility %d pruned", j, i)
+			}
+		}
 	}
-	// Determinism across worker counts.
-	p8, err := UFLPrune(context.Background(), &par.Ctx{Workers: 8}, in, Options{Size: 100, Seed: 2, FacPerClient: 4})
+	keep8, err := PruneFacilities(context.Background(), &par.Ctx{Workers: 8}, sp, fac, costs, cli)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(p.Sub, p8.Sub) || !reflect.DeepEqual(p.FacMap, p8.FacMap) {
-		t.Fatal("UFLPrune differs between worker counts")
+	if !reflect.DeepEqual(keep, keep8) {
+		t.Fatal("PruneFacilities differs between worker counts")
 	}
-	// Lift a trivial sub-solution and check feasibility on the original.
-	sub := core.EvalOpen(nil, p.Sub, []int{0})
-	sol := p.Lift(nil, in, sub)
-	if err := sol.CheckFeasible(in, 1e-6); err != nil {
-		t.Fatalf("lifted solution infeasible: %v", err)
+	// Fewer facilities than facPerClient: every one is kept.
+	if few, err := PruneFacilities(context.Background(), nil, sp, fac[:3], costs[:3], cli); err != nil || len(few) != 3 {
+		t.Fatalf("3 facilities pruned to %v (%v)", few, err)
 	}
 }

@@ -1,4 +1,4 @@
-// Package coreset is the sketching layer between instance ingest and the
+// Package coreset is the reduction layer between instance ingest and the
 // solver stack: parallel D^x (sensitivity) sampling and farthest-point
 // covers over a metric.Space that reduce million-point k-median / k-means /
 // k-center and facility-location instances to small weighted instances every
@@ -7,7 +7,11 @@
 // part is the distance-to-representatives vector the builders maintain, the
 // coreset² part is the dense sub-instance handed to the solver.
 //
-// The pipeline (facloc.Sketched wires it into the solver registry):
+// Build reduces one point set; internal/mpc composes builds into a coreset
+// tree, and facloc's *-coreset registry entries are that tree with a single
+// leaf. For facility location the clients are sampled like k-median points
+// and PruneFacilities trims the facility candidates to the coreset clients'
+// neighborhoods:
 //
 //	point space ──▶ seed O(k) centers by D^x sampling ──▶ sensitivities
 //	     │                 (k-center: farthest-point cover)      │

@@ -2,92 +2,38 @@ package coreset
 
 import (
 	"context"
-	"fmt"
-	"sort"
 
-	"repro/internal/core"
 	"repro/internal/metric"
 	"repro/internal/par"
 )
 
-// PrunedUFL is the sketched form of a facility-location instance: a small
-// dense weighted sub-instance over client representatives and pruned
-// facility candidates, plus the maps that lift a sub-solution back to the
-// original index spaces.
-type PrunedUFL struct {
-	// Sub is the dense weighted instance the inner solver runs on:
-	// |FacMap| facilities × |CliMap| clients.
-	Sub *core.Instance
-	// FacMap maps sub facility index → original facility index.
-	FacMap []int
-	// CliMap maps sub client index → original client index.
-	CliMap []int
-	// Radius is the client cover's covering radius: every original client is
-	// within Radius of its representative.
-	Radius float64
-}
+// facPerClient is the number of nearest facility candidates PruneFacilities
+// keeps per client.
+const facPerClient = 8
 
-// UFLPrune sketches a point-backed UFL instance: a farthest-point cover
-// reduces the clients to o.Size weighted representatives, and the facility
-// candidates are pruned to the union over representatives of their
-// FacPerClient nearest facilities plus the globally cheapest-to-open
-// facility (feasibility anchor). O(size·(nc + nf)) distance evaluations and
-// O(size·(size + facs)) peak distance storage — never the nf×nc block.
-// Dense-backed instances must go through the inner solver directly;
-// facloc.Sketched handles that fallback.
-func UFLPrune(ctx context.Context, c *par.Ctx, in *core.Instance, o Options) (*PrunedUFL, error) {
-	if in.Points == nil {
-		return nil, fmt.Errorf("coreset: UFLPrune needs a point-backed instance")
-	}
-	sp := in.Points
-	m := o.size(in.NC, 1)
-	seed := uint64(o.Seed)
-
-	sel, assign, dmin, err := cover(ctx, c, sp, in.CliIdx, m, seed)
-	if err != nil {
-		return nil, err
-	}
-	// Representative weights: total client weight absorbed (sequential pass
-	// for a fixed float accumulation order).
-	w := make([]float64, len(sel))
-	for j := range assign {
-		w[assign[j]] += in.W(j)
-	}
-	radius := par.MaxFloat(c, dmin)
-
-	// Order representatives by original client index.
-	order := make([]int, len(sel))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return in.CliIdx[sel[order[a]]] < in.CliIdx[sel[order[b]]] })
-	cliMap := make([]int, len(sel))
-	cliPos := make([]int, len(sel)) // representative r's position in the client list
-	weights := make([]float64, len(sel))
-	for r, o := range order {
-		cliPos[r] = sel[o]
-		cliMap[r] = in.CliIdx[sel[o]]
-		weights[r] = w[o]
-	}
-
-	// Facility pruning: each representative keeps its L nearest facilities.
+// PruneFacilities selects the facility candidates a reduced UFL instance
+// keeps: the union over clients of their facPerClient nearest facilities,
+// plus the globally cheapest-to-open facility as a feasibility anchor.
+// Facilities fac and clients cli are points of sp and cost holds the opening
+// costs; the result lists ascending positions into fac. O(|cli|·|fac|)
+// distance evaluations and O(|cli|) storage — never the |fac|×|cli| block —
+// deterministic and independent of the worker count.
+func PruneFacilities(ctx context.Context, c *par.Ctx, sp metric.Space, fac []int, cost []float64, cli []int) ([]int, error) {
 	if err := par.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	l := o.facPerClient(in.NF)
-	nearest := par.NewDense[int32](len(cliPos), l)
-	c.ForRows(len(cliPos), in.NF, func(lo, hi int) {
+	nf := len(fac)
+	l := min(facPerClient, nf)
+	nearest := par.NewDense[int32](len(cli), l)
+	c.ForRows(len(cli), nf, func(lo, hi int) {
+		bestD := make([]float64, 0, l)
 		for r := lo; r < hi; r++ {
-			cp := in.CliIdx[cliPos[r]]
-			bestD := make([]float64, 0, l)
+			bestD = bestD[:0]
 			row := nearest.Row(r)
-			for a := range row {
-				row[a] = -1
-			}
-			for i := 0; i < in.NF; i++ {
-				d := sp.Dist(in.FacIdx[i], cp)
-				// Insertion into the sorted top-L (ties toward smaller index
-				// via strict comparison), L is small.
+			for i, f := range fac {
+				d := sp.Dist(f, cli[r])
+				// Insertion into the sorted top-l (ties toward the smaller
+				// index via strict comparison); l is small.
 				pos := len(bestD)
 				for pos > 0 && bestD[pos-1] > d {
 					pos--
@@ -105,48 +51,15 @@ func UFLPrune(ctx context.Context, c *par.Ctx, in *core.Instance, o Options) (*P
 			}
 		}
 	})
-	c.Charge(int64(len(cliPos))*int64(in.NF), 1)
+	c.Charge(int64(len(cli))*int64(nf), 1)
 
-	keep := make([]bool, in.NF)
-	cheapest := par.ArgMin(c, in.NF, func(i int) float64 { return in.FacCost[i] })
-	keep[cheapest.Index] = true
-	for r := 0; r < len(cliPos); r++ {
-		for _, fi := range nearest.Row(r) {
-			if fi >= 0 {
-				keep[fi] = true
-			}
+	// Every row is full: l ≤ nf and each client scans every facility.
+	keep := make([]bool, nf)
+	keep[par.ArgMin(c, nf, func(i int) float64 { return cost[i] }).Index] = true
+	for r := range cli {
+		for _, i := range nearest.Row(r) {
+			keep[i] = true
 		}
 	}
-	facMap := par.PackIndex(c, in.NF, func(i int) bool { return keep[i] })
-
-	// Assemble the dense weighted sub-instance.
-	facPts := make([]int, len(facMap))
-	costs := make([]float64, len(facMap))
-	for a, i := range facMap {
-		facPts[a] = in.FacIdx[i]
-		costs[a] = in.FacCost[i]
-	}
-	cliPts := make([]int, len(cliMap))
-	for r := range cliPts {
-		cliPts[r] = in.CliIdx[cliPos[r]]
-	}
-	sub := &core.Instance{
-		NF:      len(facMap),
-		NC:      len(cliMap),
-		FacCost: costs,
-		D:       metric.SubmatrixRows(c, sp, facPts, cliPts),
-		CWeight: weights,
-	}
-	return &PrunedUFL{Sub: sub, FacMap: facMap, CliMap: cliMap, Radius: radius}, nil
-}
-
-// Lift maps a sub-solution's open set back to original facility indices and
-// evaluates it on the full instance (nearest-open assignment, weighted
-// objective) — |open|·nc distance evaluations, no matrix.
-func (p *PrunedUFL) Lift(c *par.Ctx, in *core.Instance, sub *core.Solution) *core.Solution {
-	open := make([]int, len(sub.Open))
-	for a, i := range sub.Open {
-		open[a] = p.FacMap[i]
-	}
-	return core.EvalOpen(c, in, open)
+	return par.PackIndex(c, nf, func(i int) bool { return keep[i] }), nil
 }

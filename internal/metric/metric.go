@@ -15,6 +15,19 @@ type Space interface {
 	Dist(i, j int) float64
 }
 
+// Subset views the points Idx of a space as a space of its own: point i of
+// the view is point Idx[i] of Space. No distances are copied.
+type Subset[I ~int | ~int32] struct {
+	Space Space
+	Idx   []I
+}
+
+// N returns the number of viewed points.
+func (s *Subset[I]) N() int { return len(s.Idx) }
+
+// Dist returns the distance between viewed points i and j.
+func (s *Subset[I]) Dist(i, j int) float64 { return s.Space.Dist(int(s.Idx[i]), int(s.Idx[j])) }
+
 // Euclidean is a metric space of points in R^dim under the L2 norm.
 type Euclidean struct {
 	Dim    int

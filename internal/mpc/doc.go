@@ -7,7 +7,8 @@
 // structure of the constant-factor MPC k-means algorithm (Cohen-Addad, Kuhn,
 // Parsaeian 2025). The root coreset is handed to any registered inner solver;
 // each sampling level multiplies a (1+ε) distortion into the composed
-// guarantee.
+// guarantee. A tree with one chunk is a single coreset build over the whole
+// space — the configuration facloc's *-coreset entries run.
 //
 // Three invariants shape everything here:
 //

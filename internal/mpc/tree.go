@@ -51,8 +51,6 @@ type Options struct {
 	// Epsilon is the per-level distortion target; each sampling level
 	// multiplies (1+ε) into the composed guarantee. 0 means 0.3.
 	Epsilon float64
-	// SeedCenters forwards to coreset.Options.SeedCenters (0 = auto).
-	SeedCenters int
 	// Seed drives every sampling decision through counter-based splitmix64
 	// streams keyed on (level, node): runs are bitwise deterministic per seed
 	// at any worker or shard count.
@@ -106,12 +104,7 @@ func (o Options) coresetSize() int {
 
 // co assembles the coreset options for one node build.
 func (o Options) co(seed int64) coreset.Options {
-	return coreset.Options{
-		Size:        o.coresetSize(),
-		Epsilon:     o.Epsilon01(),
-		Seed:        seed,
-		SeedCenters: o.SeedCenters,
-	}
+	return coreset.Options{Size: o.coresetSize(), Epsilon: o.Epsilon01(), Seed: seed}
 }
 
 // planSalt separates the tree's seed universe from every other consumer of
@@ -242,15 +235,6 @@ type spanSpace struct {
 func (s *spanSpace) N() int                { return s.n }
 func (s *spanSpace) Dist(i, j int) float64 { return s.sp.Dist(s.lo+i, s.lo+j) }
 
-// subsetSpace is the view of an arbitrary id subset of a space (merge inputs).
-type subsetSpace struct {
-	sp  metric.Space
-	ids []int32
-}
-
-func (s *subsetSpace) N() int                { return len(s.ids) }
-func (s *subsetSpace) Dist(i, j int) float64 { return s.sp.Dist(int(s.ids[i]), int(s.ids[j])) }
-
 // SolveTree runs the composable coreset tree over a resident point space (the
 // registry path: the instance exists, possibly lazily, on every shard) and
 // returns the root coreset. k and obj shape the sensitivity sampling; baseW
@@ -325,7 +309,7 @@ func SolveTree(ctx context.Context, c *par.Ctx, sp metric.Space, k int, obj core
 			b := prev[2*j+1]
 			ids := append(append(make([]int32, 0, a.Len()+b.Len()), a.Ids...), b.Ids...)
 			w := append(append(make([]float64, 0, a.Len()+b.Len()), a.Weight...), b.Weight...)
-			cs, err := coreset.Build(ctx, c, &subsetSpace{sp: sp, ids: ids}, k, obj, w, o.co(plan.NodeSeed(level, j)))
+			cs, err := coreset.Build(ctx, c, &metric.Subset[int32]{Space: sp, Idx: ids}, k, obj, w, o.co(plan.NodeSeed(level, j)))
 			if err != nil {
 				return nil, err
 			}

@@ -781,9 +781,17 @@ func (s *Server) distLeg(ctx context.Context, in *facloc.Instance, instHash stri
 	shards := len(s.cl.ring.Members())
 	start := time.Now()
 	c := &par.Ctx{Workers: opts.Workers, Tally: &par.Tally{}, Trace: rec}
-	res, err := s.cl.node.SolveDistributedTraced(ctx, c, in, &primaldual.Options{
-		Epsilon: opts.Canonical().Epsilon, Seed: opts.Seed,
-	}, solveID, traceID)
+	// The leg solves over the dense matrix; the handle below keeps the
+	// point-backed instance, so coordinate queries still work on the result.
+	var res *primaldual.Result
+	dense, err := in.DensifiedCap(c, opts.DenseLimit)
+	if err != nil {
+		err = &tooLargeError{name: DistSolverName, nf: in.NF, nc: in.NC, limit: opts.DenseLimit}
+	} else {
+		res, err = s.cl.node.SolveDistributedTraced(ctx, c, dense, &primaldual.Options{
+			Epsilon: opts.Canonical().Epsilon, Seed: opts.Seed,
+		}, solveID, traceID)
+	}
 	if err != nil {
 		s.met.solveErrors.Add(1)
 		s.log.Warn("distributed solve leg failed", "trace", obs.FormatTraceID(traceID),

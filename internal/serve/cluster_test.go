@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	facloc "repro"
+	"repro/internal/core"
 )
 
 // testCluster is n faclocd servers over real httptest listeners, joined into
@@ -209,46 +210,80 @@ func TestClusterRingEndpoint(t *testing.T) {
 // TestClusterDistributedSolveBitwiseMatchesLocal is the serve-layer
 // conformance check: "pd-dist" on a real 3-daemon HTTP cluster returns the
 // same solution — to the last float64 bit — as pd-par and as the in-process
-// pd-dist solver run locally.
+// pd-dist solver run locally, for a dense instance and for a point-form one.
+// The point-form solution still answers coordinate queries, and a point-form
+// instance past a shard's dense limit is a 4xx, not a crash.
 func TestClusterDistributedSolveBitwiseMatchesLocal(t *testing.T) {
 	tc := newTestCluster(t, 3)
-	in := facloc.GenerateUniform(63, 10, 50, 1, 6)
-	hash := submitInstance(t, tc.urls[0], in)
-	owner := tc.ownerIndex(t, hash)
+	instances := []struct {
+		name string
+		in   *facloc.Instance
+	}{
+		{"dense", facloc.GenerateUniform(63, 10, 50, 1, 6)},
+		{"points", facloc.GenerateHugeUFL(63, 10, 50)},
+	}
+	for legs, inst := range instances {
+		in := inst.in
+		hash := submitInstance(t, tc.urls[0], in)
+		owner := tc.ownerIndex(t, hash)
 
-	code, body := postJSON(t, tc.urls[owner]+"/solve", SolveRequest{Hash: hash, Solver: DistSolverName, Seed: 5, Epsilon: 0.2})
-	if code != http.StatusOK {
-		t.Fatalf("distributed solve: %d %s", code, body)
-	}
-	var r solveResponse
-	if err := json.Unmarshal(body, &r); err != nil {
-		t.Fatal(err)
-	}
-	var view reportView
-	if err := json.Unmarshal(r.Report, &view); err != nil {
-		t.Fatal(err)
-	}
+		code, body := postJSON(t, tc.urls[owner]+"/solve", SolveRequest{Hash: hash, Solver: DistSolverName, Seed: 5, Epsilon: 0.2})
+		if code != http.StatusOK {
+			t.Fatalf("%s: distributed solve: %d %s", inst.name, code, body)
+		}
+		var r solveResponse
+		if err := json.Unmarshal(body, &r); err != nil {
+			t.Fatal(err)
+		}
+		var view reportView
+		if err := json.Unmarshal(r.Report, &view); err != nil {
+			t.Fatal(err)
+		}
 
-	for _, name := range []string{"pd-par", DistSolverName} {
-		direct, err := facloc.Solve(t.Context(), name, in, facloc.Options{Seed: 5, Epsilon: 0.2})
+		for _, name := range []string{"pd-par", DistSolverName} {
+			direct, err := facloc.Solve(t.Context(), name, in, facloc.Options{Seed: 5, Epsilon: 0.2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(view.FacilityCost) != math.Float64bits(direct.Solution.FacilityCost) ||
+				math.Float64bits(view.ConnectionCost) != math.Float64bits(direct.Solution.ConnectionCost) ||
+				fmt.Sprint(view.Open) != fmt.Sprint(direct.Solution.Open) {
+				t.Fatalf("%s: HTTP distributed solve diverges from local %s:\n%s\nvs %+v", inst.name, name, r.Report, direct.Solution)
+			}
+		}
+
+		// Every shard ran exactly one distributed leg per instance.
+		for i, srv := range tc.srvs {
+			if got := srv.cl.distSolves.Load(); got != int64(legs+1) {
+				t.Fatalf("%s: node %d ran %d distributed legs, want %d", inst.name, i, got, legs+1)
+			}
+			if srv.cl.framesIn.Load() == 0 && len(tc.srvs) > 1 {
+				t.Fatalf("%s: node %d saw no frames — the solve was not distributed", inst.name, i)
+			}
+		}
+		if in.Points == nil {
+			continue
+		}
+		resp, err := http.Get(tc.urls[owner] + "/solutions/" + r.ID + "/nearest?x=100,250")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(view.FacilityCost) != math.Float64bits(direct.Solution.FacilityCost) ||
-			math.Float64bits(view.ConnectionCost) != math.Float64bits(direct.Solution.ConnectionCost) ||
-			fmt.Sprint(view.Open) != fmt.Sprint(direct.Solution.Open) {
-			t.Fatalf("HTTP distributed solve diverges from local %s:\n%s\nvs %+v", name, r.Report, direct.Solution)
+		var ans queryAnswer
+		err = json.NewDecoder(resp.Body).Decode(&ans)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || ans.Distance < 0 {
+			t.Fatalf("nearest on a point-form pd-dist solution: %d %+v %v", resp.StatusCode, ans, err)
 		}
 	}
 
-	// Every shard ran exactly one distributed leg.
-	for i, srv := range tc.srvs {
-		if got := srv.cl.distSolves.Load(); got != 1 {
-			t.Fatalf("node %d ran %d distributed legs, want 1", i, got)
-		}
-		if srv.cl.framesIn.Load() == 0 && len(tc.srvs) > 1 {
-			t.Fatalf("node %d saw no frames — the solve was not distributed", i)
-		}
+	// Past the dense limit a shard's leg refuses the instance with a 4xx.
+	var buf bytes.Buffer
+	if err := facloc.WriteInstance(&buf, facloc.GenerateHugeUFL(64, 2, core.DenseLimit+1)); err != nil {
+		t.Fatal(err)
+	}
+	code, body := postJSON(t, tc.urls[0]+"/cluster/solve", distSolveRequest{SolveID: 7, Seed: 5, Instance: buf.Bytes()})
+	if code < 400 || code >= 500 {
+		t.Fatalf("pd-dist leg past the dense limit: %d %s, want 4xx", code, body)
 	}
 }
 

@@ -607,7 +607,11 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	out := json.NewEncoder(flushWriter{w: w, rc: http.NewResponseController(w)})
+	rc := http.NewResponseController(w)
+	// Answers stream out while queries are still being read in; without
+	// full duplex, HTTP/1 closes the request body at the first flush.
+	_ = rc.EnableFullDuplex()
+	out := json.NewEncoder(flushWriter{w: w, rc: rc})
 	sc := bufio.NewScanner(io.LimitReader(r.Body, s.cfg.maxBody()))
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	for sc.Scan() {

@@ -514,6 +514,36 @@ func TestNearestRejectsNonFiniteCoordinates(t *testing.T) {
 	if len(lines) != 2 || !bytes.Contains(lines[0], []byte("error")) || !bytes.Contains(lines[1], []byte("facility")) {
 		t.Fatalf("bulk non-finite handling:\n%s", out)
 	}
+
+	// A body far past the first flush still gets exactly one answer per
+	// line: the stream must not be cut off once answers start going out.
+	const n = 1000
+	var bulk strings.Builder
+	for i := 0; i < n; i++ {
+		if i%2 == 0 {
+			fmt.Fprintf(&bulk, "{\"client\":%d}\n", i%30)
+		} else {
+			fmt.Fprintf(&bulk, "{\"x\":[%d.5,%d.25]}\n", i%7, i%5)
+		}
+	}
+	resp, err = http.Post(ts.URL+"/solutions/"+r.ID+"/query", "application/x-ndjson", strings.NewReader(bulk.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("bulk query stream of %d lines: %v", n, err)
+	}
+	lines = bytes.Split(bytes.TrimSpace(out), []byte("\n"))
+	if len(lines) != n {
+		t.Fatalf("bulk query stream: %d answers for %d lines", len(lines), n)
+	}
+	for i, l := range lines {
+		if !bytes.Contains(l, []byte("facility")) || bytes.Contains(l, []byte("error")) {
+			t.Fatalf("bulk answer %d: %s", i, l)
+		}
+	}
 }
 
 // TestQueryStreamAbortsOnOversizedLine: a line past the scanner cap must

@@ -6,12 +6,14 @@ package facloc
 // cluster pinned bitwise to the local round driver.
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/metric"
 	"repro/internal/mpc"
 )
 
@@ -203,5 +205,65 @@ func TestConformanceMPCClusterRounds(t *testing.T) {
 			t.Fatalf("shard %d solution diverges from local rounds:\n%+v\nvs\n%+v",
 				i, sols[i], local.Solution)
 		}
+	}
+}
+
+// TestMPCStreamMatchesResident pins the root step the resident and streamed
+// paths share: on a lazy k-median instance and a lazy UFL instance,
+// SolveMPCStream over the encoded stream returns the same centers (as
+// coordinates) and the same open set as the resident *-mpc solve at the same
+// seed and chunk size, through a genuine multi-level tree.
+func TestMPCStreamMatchesResident(t *testing.T) {
+	ctx := context.Background()
+	mo := MPCOptions{ChunkPoints: 150, CoresetSize: 96}
+	opts := Options{Epsilon: confEps, Seed: 7, Workers: 2}
+
+	ki := GenerateHugeK(21, 600, 4)
+	kmed, _ := LookupK("kmedian")
+	res, err := SolveKWith(ctx, MPC(kmed, mo), ki, opts)
+	if err != nil {
+		t.Fatalf("resident kmedian-mpc: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := WriteKInstance(&buf, ki); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := SolveMPCStream(ctx, "kmedian-mpc", &buf, opts, mo)
+	if err != nil {
+		t.Fatalf("streamed kmedian-mpc: %v", err)
+	}
+	if rep.Chunks != 4 || rep.Identity {
+		t.Fatalf("stream ran %d chunks (identity %v), want a sampled 4-chunk tree", rep.Chunks, rep.Identity)
+	}
+	var want []float64
+	for _, ci := range res.Solution.Centers {
+		want = append(want, ki.Points.(*metric.Euclidean).Point(ci)...)
+	}
+	if !reflect.DeepEqual(rep.Centers, want) {
+		t.Fatalf("streamed centers differ from resident ones:\n%v\nvs\n%v", rep.Centers, want)
+	}
+
+	in := GenerateHugeUFL(23, 25, 600)
+	greedy, _ := Lookup("greedy-par")
+	ures, err := SolveWith(ctx, MPCUFL(greedy, mo), in, opts)
+	if err != nil {
+		t.Fatalf("resident greedy-mpc: %v", err)
+	}
+	buf.Reset()
+	if err := WriteInstance(&buf, in); err != nil {
+		t.Fatal(err)
+	}
+	urep, err := SolveMPCStream(ctx, "greedy-mpc", &buf, opts, mo)
+	if err != nil {
+		t.Fatalf("streamed greedy-mpc: %v", err)
+	}
+	if urep.Chunks != 4 || urep.Identity {
+		t.Fatalf("UFL stream ran %d chunks (identity %v), want a sampled 4-chunk tree", urep.Chunks, urep.Identity)
+	}
+	if !reflect.DeepEqual(urep.Open, ures.Solution.Open) {
+		t.Fatalf("streamed open set %v, resident %v", urep.Open, ures.Solution.Open)
+	}
+	if urep.FacilityCost != ures.Solution.FacilityCost {
+		t.Fatalf("streamed facility cost %v, resident %v", urep.FacilityCost, ures.Solution.FacilityCost)
 	}
 }

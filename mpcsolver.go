@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/coreset"
 	"repro/internal/metric"
 	"repro/internal/mpc"
 	"repro/internal/par"
@@ -81,7 +83,9 @@ type mpcKSolver struct {
 }
 
 // MPC wraps a k-clustering solver in the composable coreset tree under the
-// given options — the programmatic form of the registry's *-mpc entries.
+// given options. It is the programmatic form of the registry's *-mpc and
+// *-coreset entries: a single coreset is the one-leaf tree, i.e. MPC with a
+// ChunkPoints at least the instance size.
 func MPC(inner KSolver, mo MPCOptions) KSolver {
 	return &mpcKSolver{name: inner.Name() + "-mpc", inner: inner, mo: mo}
 }
@@ -117,34 +121,21 @@ func (s *mpcKSolver) SolveK(ctx context.Context, pc *par.Ctx, ki *core.KInstance
 		// the identity and the inner solve is the direct solve.
 		return s.inner.SolveK(ctx, pc, ki, opts)
 	}
-	root := tr.Root
-	n := root.Len()
-	if err := tr.AccountComponent("root sub-instance", int64(n)*int64(n)*8); err != nil {
-		return nil, err
-	}
-	pts := make([]int, n)
-	for i, id := range root.Ids {
+	pts := make([]int, tr.Root.Len())
+	for i, id := range tr.Root.Ids {
 		pts[i] = int(id)
 	}
-	sub := &core.KInstance{N: n, K: ki.K, Dist: metric.SubmatrixRows(pc, ki.Space(), pts, pts), Weight: root.Weight}
-	subSol, err := s.inner.SolveK(ctx, pc, sub, opts)
+	centers, _, err := solveKRoot(ctx, pc, s.inner, ki.Space(), pts, tr.Root.Weight, ki.K, &tr.Counters, opts)
 	if err != nil {
 		return nil, err
-	}
-	if err := par.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	centers := make([]int, len(subSol.Centers))
-	for a, ci := range subSol.Centers {
-		centers[a] = pts[ci]
 	}
 	return core.EvalCenters(pc, ki, centers, obj), nil
 }
 
 // mpcSolver is the UFL counterpart: the tree reduces the clients of a
 // point-backed instance to a weighted root coreset, the inner solver runs on
-// the facilities × root-clients sub-instance, and the open set lifts back to
-// a full nearest-open assignment. Dense-backed instances pass through.
+// the pruned facilities × root-clients sub-instance, and the open set lifts
+// back to a full nearest-open assignment. Dense-backed instances pass through.
 type mpcSolver struct {
 	name   string
 	inner  Solver
@@ -161,47 +152,87 @@ func (s *mpcSolver) Solve(ctx context.Context, pc *par.Ctx, in *core.Instance, o
 	if in.Points == nil {
 		return s.inner.Solve(ctx, pc, in, opts)
 	}
-	cli := &idxSpace{sp: in.Points, idx: in.CliIdx}
+	cli := &metric.Subset[int]{Space: in.Points, Idx: in.CliIdx}
 	tr, err := mpc.SolveTree(ctx, pc, cli, s.mo.uflSampleK(), core.KMedian, in.CWeight, s.mo.mpc(opts), roundsOrLocal(s.rounds))
 	if err != nil {
 		return nil, err
 	}
-	root := tr.Root
-	nc := root.Len()
-	if err := tr.AccountComponent("root sub-instance", int64(in.NF)*int64(nc)*8); err != nil {
-		return nil, err
+	pts := make([]int, tr.Root.Len())
+	for i, id := range tr.Root.Ids {
+		pts[i] = in.CliIdx[id]
 	}
-	cliIdx := make([]int, nc)
-	for i, id := range root.Ids {
-		cliIdx[i] = in.CliIdx[int(id)]
-	}
-	sub := &core.Instance{
-		NF: in.NF, NC: nc, FacCost: in.FacCost,
-		D:       metric.SubmatrixRows(pc, in.Points, in.FacIdx, cliIdx),
-		CWeight: root.Weight,
-	}
-	subSol, err := s.inner.Solve(ctx, pc, sub, opts)
+	open, _, err := solveUFLRoot(ctx, pc, s.inner, in.Points, in.FacIdx, in.FacCost, pts, tr.Root.Weight, &tr.Counters, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := par.CtxErr(ctx); err != nil {
-		return nil, err
+	return core.EvalOpen(pc, in, open), nil
+}
+
+// solveKRoot is the root step of every k-clustering coreset solve, resident
+// or streamed: account the s×s sub-instance against the run's budget, solve
+// the weighted root coreset (points pts of sp, weights w) with inner, and map
+// the chosen centers back to points of sp. value is the inner objective on
+// the coreset.
+func solveKRoot(ctx context.Context, c *par.Ctx, inner KSolver, sp metric.Space, pts []int, w []float64, k int, ct *mpc.Counters, opts Options) (centers []int, value float64, err error) {
+	s := len(pts)
+	if err := ct.AccountComponent("root sub-instance", int64(s)*int64(s)*8); err != nil {
+		return nil, 0, err
 	}
-	return core.EvalOpen(pc, in, subSol.Open), nil
+	sub := &core.KInstance{N: s, K: min(k, s), Dist: metric.SubmatrixRows(c, sp, pts, pts), Weight: w}
+	sol, err := inner.SolveK(ctx, c, sub, opts)
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := par.CtxErr(ctx); err != nil {
+		return nil, 0, err
+	}
+	centers = make([]int, len(sol.Centers))
+	for a, ci := range sol.Centers {
+		centers[a] = pts[ci]
+	}
+	return centers, sol.Value, nil
 }
 
-// idxSpace views an index subset of a space (the client block of a lazy UFL
-// instance) as a space of its own.
-type idxSpace struct {
-	sp  metric.Space
-	idx []int
+// solveUFLRoot is the UFL root step, resident or streamed. Facilities fac
+// (opening costs cost) and root clients cli are points of sp. The facilities
+// are pruned to each root client's nearest few plus the cheapest, so the
+// sub-instance stays small however many facilities there are; the pruned ×
+// root sub-instance is accounted, solved with inner, and its open set mapped
+// back to positions in fac.
+func solveUFLRoot(ctx context.Context, c *par.Ctx, inner Solver, sp metric.Space, fac []int, cost []float64, cli []int, w []float64, ct *mpc.Counters, opts Options) (open []int, sub *Solution, err error) {
+	keep, err := coreset.PruneFacilities(ctx, c, sp, fac, cost, cli)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := ct.AccountComponent("root sub-instance", int64(len(keep))*int64(len(cli))*8); err != nil {
+		return nil, nil, err
+	}
+	facPts := make([]int, len(keep))
+	costs := make([]float64, len(keep))
+	for a, i := range keep {
+		facPts[a], costs[a] = fac[i], cost[i]
+	}
+	sub, err = inner.Solve(ctx, c, &core.Instance{
+		NF: len(keep), NC: len(cli), FacCost: costs,
+		D: metric.SubmatrixRows(c, sp, facPts, cli), CWeight: w,
+	}, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := par.CtxErr(ctx); err != nil {
+		return nil, nil, err
+	}
+	open = make([]int, len(sub.Open))
+	for a, i := range sub.Open {
+		open[a] = keep[i]
+	}
+	return open, sub, nil
 }
 
-func (s *idxSpace) N() int                { return len(s.idx) }
-func (s *idxSpace) Dist(i, j int) float64 { return s.sp.Dist(s.idx[i], s.idx[j]) }
-
-// registerMPC adds the beyond-RAM entries to the registry. Called at the end
-// of the solvers.go init, after the inner solvers exist.
+// registerMPC adds the coreset-tree entries to the registry: the *-mpc
+// solvers, and the *-coreset solvers — the same tree pinned to one leaf, so
+// the whole instance reduces to a single coreset. Called at the end of the
+// solvers.go init, after the inner solvers exist.
 func registerMPC() {
 	mustK := func(name string) KSolver {
 		s, ok := LookupK(name)
@@ -220,6 +251,12 @@ func registerMPC() {
 	RegisterK(&mpcKSolver{name: "kmedian-mpc", inner: mustK("kmedian")})
 	RegisterK(&mpcKSolver{name: "kmeans-mpc", inner: mustK("kmeans")})
 	Register(&mpcSolver{name: "greedy-mpc", inner: must("greedy-par")})
+
+	oneLeaf := MPCOptions{ChunkPoints: math.MaxInt32}
+	for _, name := range []string{"kmedian", "kmeans", "kcenter"} {
+		RegisterK(&mpcKSolver{name: name + "-coreset", inner: mustK(name), mo: oneLeaf})
+	}
+	Register(&mpcSolver{name: "greedy-coreset", inner: must("greedy-par"), mo: oneLeaf})
 }
 
 // ParseByteSize parses a human byte size: a plain integer (bytes) or one
@@ -287,8 +324,9 @@ type MPCReport struct {
 
 // SolveMPCStream streams a point-form instance through the chunker and the
 // composable coreset tree, then solves the root coreset with the solver
-// behind name ("kmedian-mpc", "kmeans-mpc", "greedy-mpc" — the inner solver
-// is the name minus "-mpc"). The instance is never materialized: no component
+// behind name: a registered *-mpc entry ("kmedian-mpc", "kmeans-mpc",
+// "greedy-mpc") runs its inner solver, any other "X-mpc" runs solver X. The
+// instance is never materialized: no component
 // exceeds the configured budget, and the whole run is bitwise deterministic
 // per (seed, chunk size) at any worker count.
 func SolveMPCStream(ctx context.Context, name string, r io.Reader, opts Options, mo MPCOptions) (*MPCReport, error) {
@@ -298,6 +336,15 @@ func SolveMPCStream(ctx context.Context, name string, r io.Reader, opts Options,
 	}
 	kSolver, isK := LookupK(base)
 	uSolver, isU := Lookup(base)
+	// A registered entry names its own inner solver: greedy-mpc runs greedy-par.
+	rk, _ := LookupK(name)
+	if m, ok := rk.(*mpcKSolver); ok {
+		kSolver, isK = m.inner, true
+	}
+	ru, _ := Lookup(name)
+	if m, ok := ru.(*mpcSolver); ok {
+		uSolver, isU = m.inner, true
+	}
 	if !isK && !isU {
 		return nil, fmt.Errorf("facloc: unknown solver %q", name)
 	}
@@ -328,47 +375,36 @@ func SolveMPCStream(ctx context.Context, name string, r io.Reader, opts Options,
 		Chunks: res.Chunks, Rounds: res.Rounds, MergeBytes: res.MergeBytes,
 		BudgetBytes: res.BudgetBytes, EffEpsilon: res.EffEpsilon, Identity: res.Identity,
 	}
-	s := res.Len()
-	sp := &metric.Euclidean{Dim: h.Dim, Coords: res.Coords}
+	ids := par.Iota(c, res.Len())
 	switch h.Kind {
 	case mpc.KindK:
 		rep.K = h.K
 		rep.Guarantee = mpcGuarantee(kSolver.Guarantee(), res.EffEpsilon)
-		if err := res.AccountComponent("root sub-instance", int64(s)*int64(s)*8); err != nil {
-			return nil, err
-		}
-		ids := par.Iota(c, s)
-		sub := &core.KInstance{N: s, K: h.K, Dist: metric.SubmatrixRows(c, sp, ids, ids), Weight: res.Weight}
-		subSol, err := kSolver.SolveK(ctx, c, sub, opts)
+		sp := &metric.Euclidean{Dim: h.Dim, Coords: res.Coords}
+		centers, value, err := solveKRoot(ctx, c, kSolver, sp, ids, res.Weight, h.K, &res.Counters, opts)
 		if err != nil {
 			return nil, err
 		}
-		rep.Estimate = subSol.Value
-		for _, ci := range subSol.Centers {
+		rep.Estimate = value
+		for _, ci := range centers {
 			rep.Centers = append(rep.Centers, sp.Point(ci)...)
 		}
 	case mpc.KindUFL:
 		rep.NF = h.NF
 		rep.Guarantee = mpcGuarantee(uSolver.Guarantee(), res.EffEpsilon)
-		if err := res.AccountComponent("root sub-instance", int64(h.NF)*int64(s)*8); err != nil {
-			return nil, err
-		}
+		// Facilities first, then the root clients: one space for the step.
 		all := &metric.Euclidean{Dim: h.Dim,
 			Coords: append(append(make([]float64, 0, len(h.FacCoords)+len(res.Coords)), h.FacCoords...), res.Coords...)}
-		fac := par.Iota(c, h.NF)
-		cli := make([]int, s)
-		for i := range cli {
-			cli[i] = h.NF + i
+		for i := range ids {
+			ids[i] += h.NF
 		}
-		sub := &core.Instance{NF: h.NF, NC: s, FacCost: h.FacCost,
-			D: metric.SubmatrixRows(c, all, fac, cli), CWeight: res.Weight}
-		subSol, err := uSolver.Solve(ctx, c, sub, opts)
+		open, sub, err := solveUFLRoot(ctx, c, uSolver, all, par.Iota(c, h.NF), h.FacCost, ids, res.Weight, &res.Counters, opts)
 		if err != nil {
 			return nil, err
 		}
-		rep.Open = subSol.Open
-		rep.FacilityCost = subSol.FacilityCost
-		rep.Estimate = subSol.Cost()
+		rep.Open = open
+		rep.FacilityCost = sub.FacilityCost
+		rep.Estimate = sub.Cost()
 	}
 	rep.PeakBytes = res.PeakBytes
 	rep.Stats = statsFrom(tally, time.Since(start))

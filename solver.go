@@ -433,7 +433,6 @@ func init() {
 		})
 	}
 
-	// Composed coreset entries ride on the solvers registered above.
-	registerSketched()
+	// Composed coreset-tree entries ride on the solvers registered above.
 	registerMPC()
 }
