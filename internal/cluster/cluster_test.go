@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -174,8 +175,33 @@ func TestClusterFaultPlanReplayable(t *testing.T) {
 	}
 }
 
+// tracerFunc adapts a function to par.Tracer.
+type tracerFunc func(par.TraceEvent)
+
+func (f tracerFunc) Emit(ev par.TraceEvent) { f(ev) }
+
+// solveLegs runs every shard's leg of one distributed solve concurrently,
+// shard i under ctxFor(i), and returns each leg's result and error.
+func solveLegs(vc *VirtualCluster, in *core.Instance, o *primaldual.Options, solveID uint64, ctxFor func(i int) *par.Ctx) ([]*primaldual.Result, []error) {
+	n := vc.N()
+	results := make([]*primaldual.Result, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = vc.Node(i).SolveDistributed(context.Background(), ctxFor(i), in, o, solveID)
+		}(i)
+	}
+	wg.Wait()
+	return results, errs
+}
+
 // TestClusterCrashMidSolveFailsLoud: a shard that dies mid-solve turns into
-// an explicit error on every shard — never a wrong or partial result.
+// an explicit error on every shard — never a wrong or partial result. The
+// crash fires at a fixed point of the protocol, right after shard 2 clears
+// barrier 2, so the test does not depend on how fast the solve runs.
 func TestClusterCrashMidSolveFailsLoud(t *testing.T) {
 	in := testInstance(4, 8, 40)
 	o := &primaldual.Options{Epsilon: 0.3, Seed: 1}
@@ -184,13 +210,137 @@ func TestClusterCrashMidSolveFailsLoud(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer vc.Close()
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		vc.Crash(2)
-	}()
-	if _, err := vc.Solve(context.Background(), in, o, 7, 2); err == nil {
-		t.Fatal("solve with a crashed shard returned a result")
+	var crashed atomic.Bool
+	crash := tracerFunc(func(ev par.TraceEvent) {
+		if ev.Phase == "barrier" && ev.Round == 2 && !crashed.Swap(true) {
+			vc.Crash(2)
+		}
+	})
+	results, errs := solveLegs(vc, in, o, 7, func(i int) *par.Ctx {
+		c := &par.Ctx{Workers: 2}
+		if i == 2 {
+			c.Trace = crash
+		}
+		return c
+	})
+	if !crashed.Load() {
+		t.Fatal("solve never reached barrier 2; the crash did not fire")
 	}
+	for i := range errs {
+		if errs[i] == nil || results[i] != nil {
+			t.Fatalf("shard %d: solve with a crashed shard returned a result", i)
+		}
+	}
+}
+
+// TestClusterFaultFreeSolveSendsNoNack: on a perfect network every shard
+// sends exactly one frame to each peer per barrier — no NACK, no
+// retransmit — even though the legs register their solve in any order. The
+// minute-long timeout makes any timer-driven recovery show up as a stall
+// and as extra frames.
+func TestClusterFaultFreeSolveSendsNoNack(t *testing.T) {
+	in := testInstance(4, 10, 60)
+	o := &primaldual.Options{Epsilon: 0.3, Seed: 7}
+	want := mustParallel(t, in, o)
+	for _, n := range []int{3, 5} {
+		vc, err := NewVirtualCluster(n, FaultPlan{}, time.Minute, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var barriers atomic.Uint64
+		count := tracerFunc(func(ev par.TraceEvent) {
+			if ev.Phase == "barrier" {
+				barriers.Add(1)
+			}
+		})
+		results, errs := solveLegs(vc, in, o, 5, func(i int) *par.Ctx {
+			c := &par.Ctx{Workers: 2}
+			if i == 0 {
+				c.Trace = count
+			}
+			return c
+		})
+		st := vc.Fabric.Stats()
+		var nacks int64
+		for i := 0; i < n; i++ {
+			nacks += vc.Node(i).Nacks()
+		}
+		vc.Close()
+		for i := range errs {
+			if errs[i] != nil {
+				t.Fatalf("%d shards: shard %d: %v", n, i, errs[i])
+			}
+			if !primaldual.ResultsBitwiseEqual(want, results[i]) {
+				t.Fatalf("%d shards: shard %d diverged from pd-par", n, i)
+			}
+		}
+		b := barriers.Load()
+		if b == 0 {
+			t.Fatalf("%d shards: no barrier events traced", n)
+		}
+		frames := uint64(n*(n-1)) * b
+		if st.Sent != frames || st.Delivered != frames {
+			t.Fatalf("%d shards, %d barriers: sent %d, delivered %d, want %d each (no NACK or retransmit)",
+				n, b, st.Sent, st.Delivered, frames)
+		}
+		if nacks != 0 {
+			t.Fatalf("%d shards: %d NACKs on a perfect network", n, nacks)
+		}
+	}
+}
+
+// TestNodeInboxBounded: round frames for solves the node has not registered
+// are buffered at most one per sender and for at most inboxSolves solves,
+// whatever a peer floods; malformed frames and stray NACKs are dropped; and
+// a real solve through the same node afterwards is still bitwise pd-par.
+func TestNodeInboxBounded(t *testing.T) {
+	const n = 3
+	vc := fastCluster(t, n, FaultPlan{})
+	defer vc.Close()
+	node := vc.Node(0)
+	check := func(when string) {
+		t.Helper()
+		node.mu.Lock()
+		defer node.mu.Unlock()
+		if len(node.inbox) > inboxSolves {
+			t.Fatalf("%s: %d pending solves, cap %d", when, len(node.inbox), inboxSolves)
+		}
+		for _, es := range node.inbox {
+			held := 0
+			for _, f := range es.frames {
+				if f != nil {
+					held++
+				}
+			}
+			if held > n-1 || es.frames[0] != nil {
+				t.Fatalf("%s: solve %d holds %d frames (self frame %v), cap %d", when, es.id, held, es.frames[0] != nil, n-1)
+			}
+		}
+	}
+	for id := uint64(100); id < 120; id++ {
+		for from := int32(0); from <= n; from++ {
+			for k := int32(0); k < 3; k++ {
+				body := EncodeRoundBody(&RoundBody{SolveID: id, Frame: primaldual.ExchangeFrame{Index: k, Phase: primaldual.PhaseFree}})
+				node.HandleFrame(&Frame{Type: FrameRound, From: from, Seq: uint32(k), Body: body})
+				check(fmt.Sprintf("solve %d from %d barrier %d", id, from, k))
+			}
+		}
+	}
+	node.HandleFrame(&Frame{Type: FrameRound, From: 1, Body: []byte{1, 2, 3}})
+	node.HandleFrame(&Frame{Type: FrameNack, From: 1, Body: EncodeNackBody(&NackBody{SolveID: 999, Index: 0})})
+	node.HandleFrame(&Frame{Type: FrameNack, From: 1, Body: []byte{1}})
+	check("after junk")
+
+	in := testInstance(3, 6, 18)
+	o := &primaldual.Options{Epsilon: 0.3, Seed: 0}
+	got, err := vc.Solve(context.Background(), in, o, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !primaldual.ResultsBitwiseEqual(mustParallel(t, in, o), got) {
+		t.Fatal("solve after an inbox flood diverged from pd-par")
+	}
+	check("after solve")
 }
 
 // TestClusterReplication: puts land on the key's owner and successor, route

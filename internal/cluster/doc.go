@@ -19,7 +19,10 @@
 // either completes with a result bitwise-identical to its single-process
 // counterpart or returns an explicit error — never a wrong or partial
 // answer. Frames carry a CRC and are validated on decode; exchange barriers
-// verify phase and ordinal so shards cannot silently fall out of lockstep;
-// lost frames are re-requested by NACK and, when a peer stays silent, the
-// solve fails with an error.
+// verify phase and ordinal so shards cannot silently fall out of lockstep.
+// A round frame that reaches a Node before the solve's Exchange is
+// registered waits in a bounded per-solve inbox and is delivered on
+// registration, so a fault-free solve runs without a single timeout; lost
+// frames are re-requested by NACK and, when a peer stays silent, the solve
+// fails with an error.
 package cluster

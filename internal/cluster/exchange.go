@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/par"
@@ -27,8 +28,9 @@ type Exchange struct {
 	n, self int
 	timeout time.Duration
 	retries int
-	trace   uint64     // stamped on every outbound frame; zero = untraced
-	tracer  par.Tracer // receives one "barrier" event per completed exchange
+	trace   uint64       // stamped on every outbound frame; zero = untraced
+	tracer  par.Tracer   // receives one "barrier" event per completed exchange
+	nacks   atomic.Int64 // NACK frames sent after a barrier timeout
 
 	mu       sync.Mutex
 	barriers map[int32]*barrier
@@ -117,10 +119,10 @@ func (e *Exchange) HandleFrame(f *Frame) {
 	switch f.Type {
 	case FrameRound:
 		rb, err := DecodeRoundBody(f.Body)
-		if err != nil || rb.SolveID != e.solveID {
+		if err != nil {
 			return
 		}
-		e.deposit(int(f.From), &rb.Frame)
+		e.handleRound(int(f.From), rb)
 	case FrameNack:
 		nb, err := DecodeNackBody(f.Body)
 		if err != nil || nb.SolveID != e.solveID {
@@ -136,6 +138,19 @@ func (e *Exchange) HandleFrame(f *Frame) {
 		}
 	}
 }
+
+// handleRound deposits a decoded round body from shard from, ignoring other
+// solves and out-of-range senders.
+func (e *Exchange) handleRound(from int, rb *RoundBody) {
+	if rb.SolveID != e.solveID || from < 0 || from >= e.n {
+		return
+	}
+	e.deposit(from, &rb.Frame)
+}
+
+// Nacks reports how many NACK frames this exchange has sent after a barrier
+// timeout.
+func (e *Exchange) Nacks() int64 { return e.nacks.Load() }
 
 // send stamps and ships one frame; fresh seq per physical send so the fault
 // fabric flips fresh coins for retransmissions. Errors are dropped here —
@@ -200,6 +215,7 @@ func (e *Exchange) Exchange(ctx context.Context, f *primaldual.ExchangeFrame) ([
 			}
 			// Re-request their frames and re-offer ours: either side's loss
 			// is repaired by one round trip.
+			e.nacks.Add(int64(len(missing)))
 			for _, p := range missing {
 				e.send(p, FrameNack, nack)
 				e.send(p, FrameRound, body)

@@ -13,10 +13,11 @@ import (
 )
 
 // Node is one shard's cluster brain, transport-agnostic: it demultiplexes
-// inbound frames (solve barriers to the active Exchange, puts into the
-// replicated store), replicates store entries with acked retries, and drives
-// this shard's leg of a distributed solve. faclocd embeds one over an
-// HTTPTransport; the virtual cluster embeds N over one VirtualFabric.
+// inbound frames (solve barriers to the active Exchange or, early, to the
+// per-solve inbox; puts into the replicated store), replicates store entries
+// with acked retries, and drives this shard's leg of a distributed solve.
+// faclocd embeds one over an HTTPTransport; the virtual cluster embeds N
+// over one VirtualFabric.
 type Node struct {
 	id      string
 	self    int
@@ -30,8 +31,24 @@ type Node struct {
 	store  map[string][]byte
 	ex     *Exchange
 	exBusy bool
+	inbox  []*earlySolve // solves with early round frames, oldest first
+	nacks  int64         // NACKs sent by this node's finished exchanges
 	acks   map[uint32]chan string
 	onPut  func(key string, value []byte)
+}
+
+// inboxSolves caps how many unregistered solves a Node buffers early round
+// frames for; a new one evicts the oldest. An evicted solve is still
+// correct: its peers' frames come back through the NACK ladder.
+const inboxSolves = 4
+
+// earlySolve holds the round frames peers sent for one solve before this
+// shard registered its Exchange: the first frame per sender. A peer cannot
+// pass barrier 0 without this shard's frame, so that first frame is its
+// barrier-0 frame and the inbox holds at most n−1 frames per solve.
+type earlySolve struct {
+	id     uint64
+	frames []*primaldual.ExchangeFrame // by sender
 }
 
 // SetOnPut registers a callback fired once per key the replicated store
@@ -84,13 +101,34 @@ func (n *Node) Ring() *Ring          { return n.ring }
 func (n *Node) Transport() Transport { return n.tr }
 
 // HandleFrame is the node's inbound dispatcher (registered as the transport
-// handler; HTTP servers may also call it directly).
+// handler; HTTP servers may also call it directly). A round frame goes to
+// the registered Exchange when it carries that Exchange's solve id — also
+// after the solve completed, so late peers still get their NACKs answered —
+// and otherwise into the per-solve inbox, which RunExchange drains when it
+// registers that solve. NACKs only reach the registered Exchange: an early
+// NACK is dropped, and the shard broadcasts its frame when it reaches the
+// barrier anyway.
 func (n *Node) HandleFrame(f *Frame) {
 	if f == nil || f.Validate() != nil {
 		return
 	}
 	switch f.Type {
-	case FrameRound, FrameNack:
+	case FrameRound:
+		rb, err := DecodeRoundBody(f.Body)
+		if err != nil {
+			return
+		}
+		n.mu.Lock()
+		ex := n.ex
+		if ex == nil || ex.solveID != rb.SolveID {
+			n.holdEarly(int(f.From), rb)
+			ex = nil
+		}
+		n.mu.Unlock()
+		if ex != nil {
+			ex.handleRound(int(f.From), rb)
+		}
+	case FrameNack:
 		n.mu.Lock()
 		ex := n.ex
 		n.mu.Unlock()
@@ -122,6 +160,55 @@ func (n *Node) HandleFrame(f *Frame) {
 			ch <- ab.Err
 		}
 	}
+}
+
+// holdEarly buffers a round frame for a solve this shard has not registered
+// yet, keeping the first frame per sender. Callers hold n.mu.
+func (n *Node) holdEarly(from int, rb *RoundBody) {
+	if from == n.self || from >= n.tr.N() {
+		return
+	}
+	var es *earlySolve
+	for _, e := range n.inbox {
+		if e.id == rb.SolveID {
+			es = e
+			break
+		}
+	}
+	if es == nil {
+		if len(n.inbox) == inboxSolves {
+			n.inbox = append(n.inbox[:0], n.inbox[1:]...)
+		}
+		es = &earlySolve{id: rb.SolveID, frames: make([]*primaldual.ExchangeFrame, n.tr.N())}
+		n.inbox = append(n.inbox, es)
+	}
+	if es.frames[from] == nil {
+		es.frames[from] = &rb.Frame
+	}
+}
+
+// takeEarly removes solveID's inbox entry and returns its frames by sender
+// (nil if none arrived early). Callers hold n.mu.
+func (n *Node) takeEarly(solveID uint64) []*primaldual.ExchangeFrame {
+	for i, e := range n.inbox {
+		if e.id == solveID {
+			n.inbox = append(n.inbox[:i], n.inbox[i+1:]...)
+			return e.frames
+		}
+	}
+	return nil
+}
+
+// Nacks reports how many NACK frames this node's exchanges have sent after
+// a barrier timeout. A fault-free cluster sends none.
+func (n *Node) Nacks() int64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	total := n.nacks
+	if n.exBusy {
+		total += n.ex.Nacks()
+	}
+	return total
 }
 
 // storePut is first-write-wins, matching the serve-layer solution store: a
@@ -321,10 +408,15 @@ func (n *Node) SolveDistributedTraced(ctx context.Context, c *par.Ctx, in *core.
 // returns. It is how solvers other than the built-in primal-dual leg — the
 // MPC coreset tree's barrier driver, tests — borrow the node's allgather.
 // traceID is stamped on every outbound frame (zero = untraced); tracer, if
-// non-nil, receives one "barrier" event per completed exchange. On completion
-// the exchange stays registered (replaced by the next solve's): a shard that
-// finishes first must keep answering NACKs for its final barriers, or a peer
-// still recovering lost frames would starve into a spurious loud failure.
+// non-nil, receives one "barrier" event per completed exchange.
+//
+// Registration takes the solve's early frames from the inbox in the same
+// critical section, so a peer that started first costs nothing: its
+// barrier-0 frame is deposited before fn runs, and one that races the drain
+// is deduplicated by the Exchange. On completion the exchange stays
+// registered (replaced by the next solve's): a shard that finishes first
+// must keep answering NACKs for its final barriers, or a peer still
+// recovering lost frames would starve into a spurious loud failure.
 func (n *Node) RunExchange(solveID, traceID uint64, tracer par.Tracer, fn func(ex *Exchange) error) error {
 	ex := NewExchange(n.tr, &n.seqs, solveID, n.timeout, n.retries)
 	if traceID != 0 || tracer != nil {
@@ -336,12 +428,19 @@ func (n *Node) RunExchange(solveID, traceID uint64, tracer par.Tracer, fn func(e
 		return fmt.Errorf("cluster: shard %d already has a solve in flight", n.self)
 	}
 	n.ex, n.exBusy = ex, true
+	early := n.takeEarly(solveID)
 	n.mu.Unlock()
 	defer func() {
 		n.mu.Lock()
 		n.exBusy = false
+		n.nacks += ex.Nacks()
 		n.mu.Unlock()
 	}()
+	for from, f := range early {
+		if f != nil {
+			ex.deposit(from, f)
+		}
+	}
 	return fn(ex)
 }
 

@@ -158,6 +158,15 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return r.RegisterCounter(name, help, &Counter{})
 }
 
+// CounterFunc registers a counter whose value is read at scrape time from
+// state the caller already keeps. fn must be monotone; it is called with
+// the registry lock held and must not touch the registry.
+func (r *Registry) CounterFunc(name, help string, fn func() int64) {
+	r.add(name, help, "counter", func(b *bytes.Buffer, n string) {
+		writeSample(b, n, "", fn())
+	})
+}
+
 // RegisterGauge exposes an existing gauge under the given name.
 func (r *Registry) RegisterGauge(name, help string, g *Gauge) *Gauge {
 	r.add(name, help, "gauge", func(b *bytes.Buffer, n string) {

@@ -80,10 +80,11 @@ func (c ClusterConfig) replicas() int {
 	return 2
 }
 
-// A daemon's frame timeout defaults shorter than the library's: the common
-// stall is a peer that registered its solve leg a beat late, and a 500ms
-// NACK round-trip recovers it cheaply; the larger retry budget keeps the
-// total loud-failure horizon at 5s.
+// A daemon's frame timeout defaults shorter than the library's. The timer
+// only paces loss recovery — a peer that registers its solve leg late costs
+// nothing, because the node buffers early frames per solve — so a lost frame
+// is re-requested after 500ms, and the larger retry budget keeps the total
+// loud-failure horizon at 5s.
 func (c ClusterConfig) timeout() time.Duration {
 	if c.Timeout > 0 {
 		return c.Timeout
@@ -260,6 +261,7 @@ func (cl *clusterState) registerMetrics(r *obs.Registry) {
 	r.RegisterCounter("faclocd_cluster_rereplicated_total", "Entries re-shipped to a revived peer.", &cl.rereplicated)
 	r.RegisterCounter("faclocd_cluster_replicate_errors_total", "Replication attempts that failed.", &cl.replicateErrors)
 	r.RegisterCounter("faclocd_cluster_frames_in_total", "Wire frames accepted on /cluster/frame.", &cl.framesIn)
+	r.CounterFunc("faclocd_cluster_nacks_total", "NACK frames this shard's solves sent after a barrier timeout.", cl.node.Nacks)
 	r.RegisterCounter("faclocd_cluster_dist_solves_total", "Distributed solve legs run on this shard.", &cl.distSolves)
 	r.RegisterCounter("faclocd_cluster_breaker_short_circuits_total", "Peer calls refused locally by an open circuit breaker.", &cl.breakerShort)
 	r.RegisterCounter("faclocd_cluster_degraded_total", "Responses served in degraded mode (local fallback or quorum ack).", &cl.degradedServed)

@@ -358,6 +358,7 @@ func TestClusterMetricsExposed(t *testing.T) {
 		"faclocd_cluster_peers_alive 2",
 		"faclocd_cluster_replicated_total",
 		"faclocd_cluster_frames_in_total",
+		"faclocd_cluster_nacks_total 0",
 		"faclocd_cluster_dist_solves_total",
 	} {
 		if !strings.Contains(string(b), want) {
